@@ -42,7 +42,7 @@ REPEATS = 3
 def serving_engine9(framework9):
     """Batched steal-schedule engine over the session's trained case9 model."""
     engine = WarmStartEngine.from_trainer(
-        framework9.artifacts.trainer, execution="batch", schedule="steal"
+        framework9.artifacts.trainer
     )
     yield engine
     engine.close()

@@ -149,76 +149,6 @@ def test_bench_engine_throughput_vs_sequential(benchmark, framework118, perf_rec
         assert speedup >= 2.0, f"engine speedup {speedup:.2f}x below the 2x target"
 
 
-def test_bench_batched_backend_vs_scenario_loop(benchmark, framework118, perf_recorder):
-    """Lockstep batched backend vs the per-scenario solve loop, one process.
-
-    This isolates the tentpole claim from multi-core effects: identical warm
-    starts, identical single-worker fleet machinery, only the execution mode
-    differs.  The ≥2x gate is enforced under ``REPRO_BENCH_STRICT=1`` (wall
-    -clock ratios flake on loaded shared runners); the measured speedup and
-    the batch solver's phase breakdown are always recorded.
-    """
-    from repro.parallel import SolverFleet
-
-    case = framework118.case
-    engine = framework118.engine
-    scenarios = generate_scenarios(case, 16, variation=0.05, seed=21)
-    warm_starts = engine.warm_starts_for(scenarios.feature_matrix(case.base_mva))
-
-    with SolverFleet(case, options=framework118.config.opf, execution="scenario") as fleet:
-        t0 = time.perf_counter()
-        sweep_scenario = fleet.solve(scenarios, warm_starts)
-        scenario_wall = time.perf_counter() - t0
-
-    with SolverFleet(case, options=framework118.config.opf, execution="batch") as fleet:
-        # Prime the batched evaluation model (pattern plans are built once per
-        # case; a serving engine amortises this over its lifetime).
-        fleet.solve(generate_scenarios(case, 2, variation=0.05, seed=1))
-        sweep_batch = benchmark.pedantic(
-            lambda: fleet.solve(scenarios, warm_starts), rounds=1, iterations=1
-        )
-        batch_wall = sweep_batch.wall_seconds
-
-    speedup = scenario_wall / batch_wall
-    phases = {}
-    for outcome in sweep_batch.outcomes:
-        for key, value in outcome.phase_seconds.items():
-            phases[key] = phases.get(key, 0.0) + value
-    benchmark.extra_info["scenario_wall_seconds"] = scenario_wall
-    benchmark.extra_info["batch_wall_seconds"] = batch_wall
-    benchmark.extra_info["batched_speedup"] = speedup
-    benchmark.extra_info["batch_phase_seconds"] = phases
-    perf_recorder(
-        "batched_backend_vs_scenario_loop",
-        case="case118s",
-        n_scenarios=len(scenarios),
-        scenario_wall_seconds=scenario_wall,
-        batch_wall_seconds=batch_wall,
-        batched_speedup=speedup,
-        batch_phase_seconds=phases,
-    )
-    print(
-        f"\nBatched backend (case118s, 1 process): per-scenario loop "
-        f"{len(scenarios) / scenario_wall:.1f} scen/s, lockstep batch "
-        f"{len(scenarios) / batch_wall:.1f} scen/s, speedup {speedup:.2f}x"
-    )
-
-    # Per-scenario parity against the sequential path holds on any machine.
-    # Objectives agree to the solver's own convergence scale: two converged
-    # trajectories may stop at slightly different points inside the 1e-6
-    # tolerance band once float associativity differs.
-    assert sweep_batch.n_scenarios == sweep_scenario.n_scenarios == len(scenarios)
-    for got, ref in zip(sweep_batch.outcomes, sweep_scenario.outcomes):
-        assert got.scenario_id == ref.scenario_id
-        assert got.converged == ref.converged
-        if ref.success:
-            assert got.iterations == ref.iterations
-            assert abs(got.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
-    assert speedup > 0
-    if STRICT:
-        assert speedup >= 2.0, f"batched speedup {speedup:.2f}x below the 2x target"
-
-
 def test_bench_blockdiag_kkt_backend(benchmark, framework118, perf_recorder):
     """KKT refactorisation backends vs the per-slot batched loop.
 
@@ -270,7 +200,7 @@ def test_bench_blockdiag_kkt_backend(benchmark, framework118, perf_recorder):
         VM the per-sweep wall spreads ~±15 % around its floor; eight samples
         bring the min within a couple percent of it (three do not)."""
         with SolverFleet(
-            case, options=options_for(backend, threads), execution="batch"
+            case, options=options_for(backend, threads)
         ) as fleet:
             fleet.solve(generate_scenarios(case, 2, variation=0.05, seed=1))
             if bench:
@@ -380,99 +310,17 @@ def test_bench_blockdiag_kkt_backend(benchmark, framework118, perf_recorder):
         )
 
 
-def test_bench_elastic_scheduler_skewed_batch(benchmark, framework118, perf_recorder):
-    """Work stealing vs static chunking on a skewed warm batch.
-
-    One scenario is *unpredictably* slow: its loads are stressed well beyond
-    the training distribution, so its model warm start is poor and the solve
-    takes several times the iterations of its neighbours — while the cost
-    heuristic (which only sees warm-vs-cold and outage flags) still predicts
-    it cheap.  Cost-balanced static chunking therefore packs a full chunk
-    behind it and that worker serialises the sweep; the steal schedule
-    confines the surprise to one micro-batch and lets idle workers pull the
-    rest of the queue.
-
-    The ≥1.3x throughput gate over static chunking needs real parallelism,
-    so it is enforced only under ``REPRO_BENCH_STRICT=1`` *and* more than one
-    worker; measured walls, the skew factor and the speedup are always
-    recorded into the session perf JSON.
-    """
-    case = framework118.case
-    engine = framework118.engine
-    base = generate_scenarios(case, 24, variation=0.05, seed=31)
-    slow = Scenario(0, base[0].Pd * 1.3, base[0].Qd * 1.3)
-    scenarios = ScenarioSet(case.name, [slow] + list(base.scenarios)[1:])
-    warm_starts = engine.warm_starts_for(scenarios.feature_matrix(case.base_mva))
-    warmup = generate_scenarios(case, 2, variation=0.05, seed=1)
-
-    def make_fleet(schedule, microbatch=None):
-        fleet = SolverFleet(
-            case,
-            options=framework118.config.opf,
-            n_workers=N_WORKERS,
-            execution="batch",
-            schedule=schedule,
-            microbatch=microbatch,
-        )
-        fleet.solve(warmup)  # spawn workers and build models outside the timing
-        return fleet
-
-    with make_fleet("static") as fleet:
-        sweep_static = fleet.solve(scenarios, warm_starts)
-    with make_fleet("steal", microbatch=2) as fleet:
-        sweep_steal = benchmark.pedantic(
-            lambda: fleet.solve(scenarios, warm_starts), rounds=1, iterations=1
-        )
-
-    its = sorted(o.final_iterations for o in sweep_steal.outcomes)
-    skew = its[-1] / max(its[len(its) // 2], 1)
-    speedup = sweep_static.wall_seconds / sweep_steal.wall_seconds
-    benchmark.extra_info["static_wall_seconds"] = sweep_static.wall_seconds
-    benchmark.extra_info["steal_wall_seconds"] = sweep_steal.wall_seconds
-    benchmark.extra_info["steal_speedup"] = speedup
-    benchmark.extra_info["iteration_skew"] = skew
-    benchmark.extra_info["n_workers"] = N_WORKERS
-    perf_recorder(
-        "elastic_scheduler_skewed_batch",
-        case="case118s",
-        n_scenarios=len(scenarios),
-        n_workers=N_WORKERS,
-        static_wall_seconds=sweep_static.wall_seconds,
-        steal_wall_seconds=sweep_steal.wall_seconds,
-        steal_speedup=speedup,
-        iteration_skew=skew,
-    )
-    print(
-        f"\nElastic scheduler (case118s, {N_WORKERS} worker(s), skew {skew:.1f}x): "
-        f"static {len(scenarios) / sweep_static.wall_seconds:.1f} scen/s, "
-        f"steal {len(scenarios) / sweep_steal.wall_seconds:.1f} scen/s, "
-        f"speedup {speedup:.2f}x"
-    )
-
-    # Result invariants hold on any machine: same scenarios, same convergence.
-    assert sweep_steal.n_scenarios == sweep_static.n_scenarios == len(scenarios)
-    for a, b in zip(sweep_static.outcomes, sweep_steal.outcomes):
-        assert a.scenario_id == b.scenario_id
-        assert a.converged == b.converged
-    if STRICT and N_WORKERS > 1:
-        assert speedup >= 1.3, (
-            f"steal speedup {speedup:.2f}x below the 1.3x skewed-workload target"
-        )
-
-
 def test_bench_grouped_contingency_screening(benchmark, framework118, perf_recorder):
     """Cross-sweep contingency batching vs fragmented per-sweep screening.
 
     Four N-1 screening sweeps share an outage-branch set but hold only one
-    scenario per branch each, so the per-sweep static batch path degenerates
-    to singleton scalar solves per branch — the fragmentation the ROADMAP
-    flags.  ``solve_many`` merges the sweeps: each branch collects its four
-    scenarios into one lockstep group (served by the worker's memoized
-    per-branch batched model) and the load-only scenarios march together,
-    recovering the batch win.  Measurable on a single core because batched
-    evaluation dominates scalar evaluation on case118s; the grouped results
-    stay bitwise-comparable to the elastic per-sweep path (pinned by
-    ``tests/test_contingency_grouping.py``).
+    scenario per branch each, so solving them one ``solve`` at a time
+    degenerates to one-row lockstep groups per branch — the fragmentation
+    the ROADMAP flags.  ``solve_many`` merges the sweeps: each branch
+    collects its four scenarios into one lockstep group (served by the
+    worker's memoized per-branch model) and the load-only scenarios march
+    together, recovering the batch win.  Lockstep rows are independent bit
+    for bit, so the grouped outcomes equal the per-sweep ones exactly.
     """
     case = framework118.case
     f, t = case.branch_bus_indices()
@@ -494,14 +342,13 @@ def test_bench_grouped_contingency_screening(benchmark, framework118, perf_recor
         sweeps.append(ScenarioSet(case.name, members))
 
     options = framework118.config.opf
-    with SolverFleet(case, options=options, execution="batch", schedule="static") as fleet:
+    with SolverFleet(case, options=options) as fleet:
         fleet.solve(sweeps[0])  # prime models/patterns outside the timing
         t0 = time.perf_counter()
-        for sweep in sweeps:
-            fleet.solve(sweep)
+        separate = [fleet.solve(sweep) for sweep in sweeps]
         fragmented_wall = time.perf_counter() - t0
 
-    with SolverFleet(case, options=options, execution="batch", schedule="steal") as fleet:
+    with SolverFleet(case, options=options) as fleet:
         fleet.solve(sweeps[0])
         grouped = benchmark.pedantic(
             lambda: fleet.solve_many(sweeps), rounds=1, iterations=1
@@ -530,6 +377,11 @@ def test_bench_grouped_contingency_screening(benchmark, framework118, perf_recor
 
     assert sum(s.n_scenarios for s in grouped) == n_total
     assert all(s.success_rate == 1.0 for s in grouped)
+    for sep, grp in zip(separate, grouped):
+        for a, b in zip(sep.outcomes, grp.outcomes):
+            assert (a.scenario_id, a.iterations, a.objective) == (
+                b.scenario_id, b.iterations, b.objective
+            )
     if STRICT:
         assert speedup >= 1.2, (
             f"grouped-contingency speedup {speedup:.2f}x below the 1.2x target"

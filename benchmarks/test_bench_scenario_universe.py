@@ -46,7 +46,7 @@ def test_bench_n2_contingency_screening(perf_recorder):
     n_topologies = len({topology_key(s) for s in sweep_set})
 
     with SolverFleet(
-        case, execution="batch", schedule="steal", collect_solutions=True
+        case, collect_solutions=True
     ) as fleet:
         t0 = time.perf_counter()
         sweep = fleet.solve(sweep_set)
@@ -70,7 +70,7 @@ def test_bench_trajectory_warm_chaining_speedup(perf_recorder):
     samples = sample_load_trajectory(case, n_steps=TRAJECTORY_STEPS, seed=17)
     steps = trajectory_steps(case, samples)
 
-    with SolverFleet(case, execution="batch", collect_solutions=True) as fleet:
+    with SolverFleet(case, collect_solutions=True) as fleet:
         driver_warm = MultiPeriodSweep(fleet, warm_chain=True)
         driver_cold = MultiPeriodSweep(fleet, warm_chain=False)
         # Warm-up solve so neither measured pass pays one-time model setup.

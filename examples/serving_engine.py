@@ -52,12 +52,10 @@ def main() -> None:
     print(f"\nSaved engine artifact to {artifact_path} ({size_kb:.0f} KiB)")
 
     # A deployment reconstructs the engine from disk — no dataset, no training.
-    # ``execution="batch"`` selects the lockstep batched MIPS backend: each
-    # request batch is advanced through the interior-point iterations together
-    # (vectorised evaluation/assembly, per-scenario factorisation only).
-    served = load_artifact(
-        artifact_path, case, fallback="relaxed_warm", execution="batch"
-    )
+    # Each request batch is advanced through the interior-point iterations in
+    # lockstep per topology group (vectorised evaluation/assembly,
+    # per-scenario factorisation only), fallback recoveries included.
+    served = load_artifact(artifact_path, case, fallback="relaxed_warm")
     probe = framework.artifacts.validation_set.inputs
     identical = all(
         np.array_equal(a, b)

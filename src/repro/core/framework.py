@@ -40,8 +40,7 @@ from repro.mtl.separate import SeparateTaskNetworks
 from repro.mtl.trainer import MTLTrainer, TrainingHistory
 from repro.opf.model import OPFModel
 from repro.opf.solver import OPFOptions
-from repro.parallel.pool import EXECUTION_MODES
-from repro.parallel.scheduler import SCHEDULES
+from repro.parallel.pool import validate_solve_path
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -73,19 +72,14 @@ class SmartPGSimConfig:
     fallback: str = "cold_restart"
     #: Solver workers used for ground-truth generation and online dispatch.
     n_workers: int = 1
-    #: Solver execution mode used for *both* ground-truth generation and
-    #: online serving: ``"batch"`` (lockstep batched MIPS, the default) or
-    #: ``"scenario"`` (one solve at a time).  Using one mode on both sides
-    #: keeps the Fig. 4 warm-vs-cold ratios apples-to-apples: each side's
-    #: per-problem cost is the additive lockstep wall share (see
-    #: :func:`repro.data.dataset.generate_dataset`).
+    #: Solve path of both ground-truth generation and online serving; only
+    #: ``"batch"`` / ``"steal"`` (lockstep groups on the micro-batch queue)
+    #: are accepted.  One path on both sides keeps the Fig. 4 warm-vs-cold
+    #: ratios apples-to-apples: each side's per-problem cost is the additive
+    #: lockstep wall share (see :func:`repro.data.dataset.generate_dataset`).
     execution: str = "batch"
-    #: Fleet scheduling policy for both sides: ``"static"`` (cost-balanced
-    #: fixed chunks, the default — keeps ground truth bit-pinned to the PR 4
-    #: semantics tests) or ``"steal"`` (elastic micro-batch queue with work
-    #: stealing; see :mod:`repro.parallel.scheduler`).
-    schedule: str = "static"
-    #: Micro-batch size for the elastic scheduler (auto-sized when None).
+    schedule: str = "steal"
+    #: Micro-batch size for the fleet scheduler (auto-sized when None).
     microbatch: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -97,10 +91,7 @@ class SmartPGSimConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(f"execution must be one of {EXECUTION_MODES}")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}")
+        validate_solve_path(self.execution, self.schedule)
         if self.microbatch is not None and self.microbatch < 1:
             raise ValueError("microbatch must be positive")
         get_fallback_policy(self.fallback)  # validate eagerly
@@ -143,8 +134,6 @@ class SmartPGSim:
                 options=cfg.opf,
                 model=self.opf_model,
                 n_workers=cfg.n_workers,
-                execution=cfg.execution,
-                schedule=cfg.schedule,
                 microbatch=cfg.microbatch,
             )
         dataset_seconds = time.perf_counter() - t0
@@ -184,8 +173,6 @@ class SmartPGSim:
             trainer,
             opf_options=cfg.opf,
             fallback=cfg.fallback,
-            execution=cfg.execution,
-            schedule=cfg.schedule,
             microbatch=cfg.microbatch,
         )
         LOGGER.info(

@@ -3,7 +3,7 @@
 The offline phase of Smart-PGSim samples load scenarios, solves each of them
 with the exact MIPS solver and collects the converged primal/dual variables as
 supervision targets.  :func:`generate_dataset` implements that collection over
-the same pooled batch-solve path the serving engine uses (cold starts, one
+the same lockstep fleet path the serving engine uses (cold starts, one
 persistent solver worker per process) and :class:`OPFDataset` stores the
 result as flat NumPy arrays (one row per scenario) ready for model training.
 """
@@ -17,12 +17,11 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.grid.components import Case
-from repro.grid.perturb import CorrelatedLoadSampler, iter_load_samples, sample_loads
+from repro.grid.perturb import CorrelatedLoadSampler, iter_load_samples
 from repro.opf.model import OPFModel, VariableIndex
 from repro.opf.solver import OPFOptions
-from repro.parallel.pool import EXECUTION_MODES, SolverFleet, run_scenario_sweep
+from repro.parallel.pool import SolverFleet, validate_solve_path
 from repro.parallel.scenarios import Scenario, ScenarioSet
-from repro.parallel.scheduler import SCHEDULES
 from repro.utils.logging import get_logger
 from repro.utils.rng import RNGLike
 
@@ -168,42 +167,31 @@ def generate_dataset(
     drop_failures: bool = True,
     n_workers: int = 1,
     execution: str = "batch",
-    schedule: str = "static",
+    schedule: str = "steal",
     microbatch: Optional[int] = None,
     sampler: Optional[CorrelatedLoadSampler] = None,
     stream_batch: Optional[int] = None,
 ) -> OPFDataset:
     """Generate ground-truth data by solving sampled scenarios with MIPS.
 
-    The cold-start solves run through the same pooled batch-solve path as the
+    The cold-start solves run through the same lockstep fleet path as the
     serving engine: ``n_workers=1`` solves in-process (reusing ``model`` when
     provided), larger counts distribute the scenarios over persistent solver
-    workers, and ``execution="batch"`` (the default) solves each worker's
-    chunk in lockstep (see :func:`repro.opf.batch.solve_opf_batch`), which
-    reproduces the per-scenario path's trajectories — identical iteration
-    counts, solutions and objectives at solver precision (batched callback
-    evaluation changes float associativity, so not bit-for-bit) — several
-    times faster.  ``execution="scenario"`` keeps the one-solve-at-a-time
-    behaviour.  Scenarios whose cold-start solve
-    fails to converge are dropped (they are rare for the built-in cases at
-    ±10 % load variation), matching the paper's use of converged solutions as
-    supervision signal.
-
-    ``schedule`` picks the fleet's dispatch policy (``"static"`` cost-balanced
-    chunks, the default, or ``"steal"`` for the elastic micro-batch queue —
-    see :mod:`repro.parallel.scheduler`); ``microbatch`` bounds the elastic
-    micro-batch size.  The default stays ``"static"`` so the batch-mode
-    ground truth remains bit-pinned to the PR 4 semantics tests.
+    workers, and every topology group is solved in lockstep (see
+    :func:`repro.opf.batch.solve_opf_batch`).  Scenarios whose cold-start
+    solve fails to converge are dropped (they are rare for the built-in cases
+    at ±10 % load variation), matching the paper's use of converged solutions
+    as supervision signal.  ``microbatch`` bounds the fleet's micro-batch
+    size; ``execution`` and ``schedule`` accept only ``"batch"`` and
+    ``"steal"``.
 
     **Timing semantics.**  ``solve_seconds`` records each scenario's
-    *additive wall share* of its solve: in scenario mode that is simply the
-    per-solve wall time; in batch mode every lockstep iteration's wall time
+    *additive wall share* of its solve: every lockstep iteration's wall time
     is split evenly over the scenarios active in it, so the values sum to the
-    lockstep wall and stay directly comparable with (and honestly cheaper
-    than) scalar per-solve times.  The Fig. 4 speedup ratios consume these as
-    the cold-MIPS reference, which makes the reported speedups *conservative*:
-    warm starts are measured against the strongest available cold baseline
-    rather than the slow per-scenario loop.
+    lockstep wall.  The Fig. 4 speedup ratios consume these as the cold-MIPS
+    reference, which makes the reported speedups *conservative*: warm starts
+    are measured against the batched cold baseline rather than a slower
+    one-at-a-time loop.
 
     **Stochastic streams.**  ``sampler`` swaps the paper's independent
     per-bus draws for spatially-correlated ones
@@ -211,19 +199,12 @@ def generate_dataset(
     feeds the sweep in bounded batches through one persistent fleet instead of
     materialising every load array up front — the load-side memory footprint
     becomes ``O(stream_batch)``, not ``O(n_samples)``.  Sampler draws are
-    keyed per scenario, so the generated dataset is bit-identical for any
-    ``stream_batch`` (including the unbatched default) — the streamed blocks
-    always dispatch elastically (keyed lockstep groups, whatever ``schedule``
-    says), because the static path's singleton scalar shortcut would tie the
-    numeric path to the chopping.  Without either knob, the classic
-    materialised single-sweep path runs unchanged (bit-pinned by the PR 4
-    semantics tests).
+    keyed per scenario and lockstep rows are independent bit for bit, so the
+    generated dataset is bit-identical for any ``stream_batch`` (including
+    the unbatched default, one block of ``n_samples``).
     """
     options = options or OPFOptions()
-    if execution not in EXECUTION_MODES:
-        raise ValueError(f"execution must be one of {EXECUTION_MODES}")
-    if schedule not in SCHEDULES:
-        raise ValueError(f"schedule must be one of {SCHEDULES}")
+    validate_solve_path(execution, schedule)
     if stream_batch is not None and stream_batch < 1:
         raise ValueError("stream_batch must be positive")
     if sampler is not None and sampler.case.n_bus != case.n_bus:
@@ -259,63 +240,33 @@ def generate_dataset(
             pd_rows.append(sample.Pd)
             qd_rows.append(sample.Qd)
 
-    if sampler is None and stream_batch is None:
-        samples = sample_loads(case, n_samples, variation=variation, seed=seed)
-        scenario_set = ScenarioSet(
-            case.name,
-            [Scenario(i, sample.Pd, sample.Qd) for i, sample in enumerate(samples)],
-            n_bus=case.n_bus,
-        )
-        sweep = run_scenario_sweep(
-            case,
-            scenario_set,
-            n_workers=n_workers,
-            options=options,
-            collect_solutions=True,
-            model=model if n_workers == 1 else None,
-            execution=execution,
-            schedule=schedule,
-            microbatch=microbatch,
-        )
-        collect(samples, sweep.outcomes)
+    batch = stream_batch if stream_batch is not None else max(int(n_samples), 1)
+    if sampler is not None:
+        if not (seed is None or isinstance(seed, (int, np.integer))):
+            raise ValueError(
+                "the correlated-sampler path needs an integer (or None) "
+                "seed — per-scenario draws are keyed on it"
+            )
+        blocks = sampler.stream(n_samples, batch, seed=None if seed is None else int(seed))
     else:
-        batch = stream_batch if stream_batch is not None else max(int(n_samples), 1)
-        if sampler is not None:
-            if not (seed is None or isinstance(seed, (int, np.integer))):
-                raise ValueError(
-                    "the correlated-sampler path needs an integer (or None) "
-                    "seed — per-scenario draws are keyed on it"
-                )
-            blocks = sampler.stream(
-                n_samples, batch, seed=None if seed is None else int(seed)
+        blocks = _batched(
+            iter_load_samples(case, n_samples, variation=variation, seed=seed), batch
+        )
+    with SolverFleet(
+        case,
+        options=options,
+        n_workers=n_workers,
+        collect_solutions=True,
+        model=model if n_workers == 1 else None,
+        microbatch=microbatch,
+    ) as fleet:
+        for block in blocks:
+            scenario_set = ScenarioSet(
+                case.name,
+                [Scenario(s.scenario_id, s.Pd, s.Qd) for s in block],
+                n_bus=case.n_bus,
             )
-        else:
-            blocks = _batched(
-                iter_load_samples(case, n_samples, variation=variation, seed=seed),
-                batch,
-            )
-        # The streamed path always dispatches elastically: keyed topology
-        # groups lockstep even as singletons, so chopping the stream cannot
-        # flip a scenario between the scalar and lockstep numeric paths (the
-        # static chunk path's singleton shortcut would break the documented
-        # bit-invariance for stream_batch=1).
-        with SolverFleet(
-            case,
-            options=options,
-            n_workers=n_workers,
-            collect_solutions=True,
-            model=model if n_workers == 1 else None,
-            execution=execution,
-            schedule="steal",
-            microbatch=microbatch,
-        ) as fleet:
-            for block in blocks:
-                scenario_set = ScenarioSet(
-                    case.name,
-                    [Scenario(s.scenario_id, s.Pd, s.Qd) for s in block],
-                    n_bus=case.n_bus,
-                )
-                collect(block, fleet.solve(scenario_set).outcomes)
+            collect(block, fleet.solve(scenario_set).outcomes)
 
     if not rows_in:
         raise RuntimeError(f"no scenario of {case.name} converged; cannot build a dataset")

@@ -52,18 +52,7 @@ def sample_loads(
     (and likewise for ``Qd``), matching the paper's load-sampling protocol.
     Buses with zero nominal load stay at zero.
     """
-    if n_samples < 0:
-        raise ValueError("n_samples must be non-negative")
-    if variation < 0:
-        raise ValueError("variation must be non-negative")
-    rng = ensure_rng(seed)
-    Pd0, Qd0 = case.bus.Pd, case.bus.Qd
-    samples = []
-    for i in range(n_samples):
-        fp = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
-        fq = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
-        samples.append(LoadSample(Pd=Pd0 * fp, Qd=Qd0 * fq, scenario_id=i))
-    return samples
+    return list(iter_load_samples(case, n_samples, variation=variation, seed=seed))
 
 
 def iter_load_samples(
@@ -72,13 +61,24 @@ def iter_load_samples(
     variation: float = 0.1,
     seed: RNGLike = None,
 ) -> Iterator[LoadSample]:
-    """Generator version of :func:`sample_loads` (constant memory)."""
+    """Iterator version of :func:`sample_loads` (constant memory).
+
+    The arguments are validated on the call, not on the first draw.
+    """
+    if n_samples < 0:
+        raise ValueError("n_samples must be non-negative")
+    if variation < 0:
+        raise ValueError("variation must be non-negative")
     rng = ensure_rng(seed)
     Pd0, Qd0 = case.bus.Pd, case.bus.Qd
-    for i in range(n_samples):
-        fp = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
-        fq = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
-        yield LoadSample(Pd=Pd0 * fp, Qd=Qd0 * fq, scenario_id=i)
+
+    def draws() -> Iterator[LoadSample]:
+        for i in range(n_samples):
+            fp = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
+            fq = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
+            yield LoadSample(Pd=Pd0 * fp, Qd=Qd0 * fq, scenario_id=i)
+
+    return draws()
 
 
 def scaled_load(case: Case, factor: float, scenario_id: int = 0) -> LoadSample:

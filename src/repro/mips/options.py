@@ -61,7 +61,9 @@ class MIPSOptions:
     #: sweep re-solves the residual against the iteration's factorisation
     #: (the multi-RHS/resolve path of :mod:`repro.mips.linsolve`), sharpening
     #: steps on ill-conditioned warm starts.  0 (the default) disables
-    #: refinement and reproduces the historic behaviour exactly.
+    #: refinement and reproduces the historic behaviour exactly.  Only the
+    #: scalar ``mips`` loop (``qps_mips``) refines; lockstep solves, which
+    #: include every OPF solve, ignore it.
     kkt_refine_steps: int = 0
     #: Per-solve wall budget in seconds (``None`` = unbounded).  Checked
     #: cooperatively between iterations; an exhausted budget terminates the

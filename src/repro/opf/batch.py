@@ -29,13 +29,13 @@ from repro.grid.components import Case
 from repro.mips.batch import BatchFeedPayload, mips_batch
 from repro.opf.model import OPFModel
 from repro.opf.result import OPFResult, build_opf_result
-from repro.opf.solver import OPFOptions
+from repro.opf.options import OPFOptions
 from repro.opf.warmstart import WarmStart
 from repro.powerflow.derivatives import BatchedBranchDerivatives, BatchedSbusDerivatives
 from repro.powerflow.hessians import BatchedASbrHessian, BatchedSbusHessian
 from repro.utils.sparse import CachedBmat, pattern_union
 
-__all__ = ["BatchedOPFModel", "solve_opf_batch"]
+__all__ = ["BatchedOPFModel", "batched_model", "solve_opf_batch"]
 
 
 class BatchedOPFModel:
@@ -286,6 +286,19 @@ class BatchedOPFModel:
         return self._hess_cache.assemble_batch([Haa, Hav, Hva, Hvv, Dgg])
 
 
+def batched_model(model: OPFModel) -> BatchedOPFModel:
+    """The batched kernels of ``model``, built on first use and kept on it.
+
+    Every lockstep solve on one :class:`OPFModel` reuses the same
+    :class:`BatchedOPFModel`, so a one-row :func:`~repro.opf.solver.solve_opf`
+    pays the pattern set-up once per model, not once per call.  Like the
+    model itself, the kernels must not be shared between threads.
+    """
+    if model.batched is None:
+        model.batched = BatchedOPFModel(model)
+    return model.batched
+
+
 def _warm_component(
     warm_starts: Sequence[Optional[WarmStart]],
     attr: str,
@@ -327,9 +340,10 @@ def solve_opf_batch(
 
     ``Pd_mw``/``Qd_mvar`` are ``(B, nb)`` per-scenario loads in MW/MVAr;
     ``warm_starts`` is an optional per-scenario list (``None`` entries mean a
-    cold start, and missing components fall back to solver defaults exactly
-    like :func:`repro.opf.solver.solve_opf`).  Returns one
-    :class:`OPFResult` per scenario, in input order.
+    cold start, and missing components fall back to solver defaults).
+    Returns one :class:`OPFResult` per scenario, in input order.  Without
+    ``batched`` the solve uses the model's cached kernels
+    (:func:`batched_model`).
 
     ``window`` bounds the lockstep width: the solve starts with the first
     ``window`` scenarios and *streams* the rest through the active set via
@@ -356,7 +370,7 @@ def solve_opf_batch(
     elif model.case is not case:
         raise ValueError("the supplied model was built for a different case object")
     if batched is None:
-        batched = BatchedOPFModel(model)
+        batched = batched_model(model)
     elif batched.model is not model:
         raise ValueError("the supplied batched model wraps a different OPFModel")
 

@@ -133,6 +133,9 @@ class OPFModel:
         # constraint evaluation, so the kernels are shared between the two.
         self._branch_deriv_key: Optional[bytes] = None
         self._branch_deriv_val = None
+        #: Lockstep evaluation kernels over this model, built on first use by
+        #: :func:`repro.opf.batch.batched_model`.
+        self.batched = None
 
     # ------------------------------------------------------------------ sizes
     @property

@@ -97,9 +97,9 @@ def build_opf_result(
         message=mips_result.message,
         history=list(mips_result.history),
         preprocess_seconds=preprocess_seconds,
-        # The additive per-scenario cost: wall time for scalar solves, the
-        # scenario's lockstep wall share for batch solves — keeps
-        # ``solve_seconds`` comparable and summable in both execution modes.
+        # The additive per-scenario cost: wall time for a scalar MIPS result,
+        # the scenario's lockstep wall share for a batch one — summable over
+        # the scenarios of a sweep either way.
         solve_seconds=mips_result.share_seconds,
         phase_seconds=dict(mips_result.phase_seconds),
         kkt_telemetry=dict(mips_result.kkt_telemetry),

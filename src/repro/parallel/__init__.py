@@ -2,7 +2,6 @@
 
 from repro.parallel.cluster import PAPER_WORKER_COUNTS, ClusterModel, calibrate_from_inference
 from repro.parallel.pool import (
-    EXECUTION_MODES,
     ScenarioOutcome,
     ScenarioSolution,
     SolverFleet,
@@ -19,12 +18,9 @@ from repro.parallel.scenarios import (
     validate_outage_branches,
 )
 from repro.parallel.scheduler import (
-    SCHEDULES,
     MicroBatch,
     auto_microbatch_size,
-    balanced_assignment,
     make_microbatches,
-    predicted_cost,
     topology_key,
 )
 from repro.parallel.supervision import PoolClosedError, SupervisedPool
@@ -36,8 +32,6 @@ from repro.parallel.trajectory import (
 )
 
 __all__ = [
-    "EXECUTION_MODES",
-    "SCHEDULES",
     "Scenario",
     "ScenarioSet",
     "generate_scenarios",
@@ -52,9 +46,7 @@ __all__ = [
     "run_scenario_sweep",
     "MicroBatch",
     "auto_microbatch_size",
-    "balanced_assignment",
     "make_microbatches",
-    "predicted_cost",
     "topology_key",
     "ClusterModel",
     "calibrate_from_inference",

@@ -14,28 +14,25 @@ once and per-batch messages carry only scenarios and warm starts.  Across
 sweeps a :class:`SolverFleet` keeps the worker processes alive, which is what
 the serving engine uses to amortise process start-up over many requests.
 
-Each worker supports two *execution modes*.  ``"scenario"`` (the default)
-solves its batch one scenario at a time through :func:`solve_opf`;
-``"batch"`` solves all same-topology scenarios of the batch in lockstep
-through :func:`repro.opf.batch.solve_opf_batch`, which vectorises the
-evaluation/assembly phases across the batch and loops only for the
-per-scenario factorise/backsolve.  The two modes compose with multi-worker
-fleets: with ``n_workers > 1`` each worker runs one lockstep batch over its
-chunk of the sweep.
+Every solve — first attempts and fallback recoveries alike — runs through one
+path: a topology-keyed group solved in lockstep by
+:func:`repro.opf.batch.solve_opf_batch`, which vectorises the
+evaluation/assembly phases across the group and loops only for the
+per-scenario factorise/backsolve.  A recovery is a one-row group.  Lockstep
+rows are independent bit for bit, so a scenario's result is the same whatever
+group, worker or micro-batch carried it.
 
 Failed solves can be recovered in-worker through a pluggable fallback policy
 (see :mod:`repro.engine.fallback`); the policy object is shipped with the
-initializer, so recovery costs no extra scatter/gather round trip.  In batch
-mode the (rare) recoveries run per scenario after the lockstep solve.
+initializer, so recovery costs no extra scatter/gather round trip.  The
+(rare) recoveries run per scenario after the lockstep solve.
 
-On top of the execution mode sits the *scheduling policy*
-(:mod:`repro.parallel.scheduler`).  ``schedule="static"`` assigns each worker
-one cost-balanced chunk up front; ``schedule="steal"`` turns the sweep into a
-shared queue of topology-keyed micro-batches that idle workers pull
+Work reaches the workers through a shared queue of topology-keyed
+micro-batches (:mod:`repro.parallel.scheduler`) that idle workers pull
 dynamically — a straggling scenario keeps only its own micro-batch busy while
-the rest of its former chunk is stolen by the other workers, and the
-in-process fleet streams each topology group through a bounded lockstep
-window whose retired slots are refilled from the queue between iterations.
+the rest of the sweep is stolen by the other workers — and the in-process
+fleet streams each topology group through a lockstep window whose retired
+slots are refilled from the queue between iterations.
 :meth:`SolverFleet.solve_many` extends the same machinery across *several*
 sweeps at once: scenarios of different sweeps that share a topology key (the
 sorted outage-branch *set* — N-1 singles and N-k tuples alike) merge into one
@@ -68,31 +65,37 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.grid.components import Case
-from repro.opf.batch import BatchedOPFModel, solve_opf_batch
+from repro.opf.batch import solve_opf_batch
 from repro.opf.model import OPFModel
+from repro.opf.options import OPFOptions
 from repro.opf.result import OPFResult
-from repro.opf.solver import OPFOptions, solve_opf
 from repro.opf.warmstart import WarmStart
 from repro.parallel.scenarios import Scenario, ScenarioSet, validate_outage_branches
-from repro.parallel.scheduler import (
-    SCHEDULES,
-    balanced_assignment,
-    make_microbatches,
-    topology_key,
-)
+from repro.parallel.scheduler import make_microbatches, topology_key
 from repro.parallel.supervision import SupervisedPool
 from repro.testing.faults import FaultInjectionError, FaultPlan, execute_kill
 
 if TYPE_CHECKING:  # pragma: no cover - import-time cycle guard (engine imports pool)
     from repro.engine.fallback import FallbackPolicy
 
-#: Valid worker execution modes.
-EXECUTION_MODES = ("scenario", "batch")
+
+def validate_solve_path(execution: str, schedule: str) -> None:
+    """Reject any solve path but the lockstep one.
+
+    ``execution`` and ``schedule`` survive as keywords of
+    :class:`SolverFleet`, :func:`~repro.data.dataset.generate_dataset` and
+    :class:`~repro.core.framework.SmartPGSimConfig` so existing callers keep
+    working; each accepts only the one path there is.
+    """
+    if execution != "batch":
+        raise ValueError(f"execution must be 'batch' (the lockstep solver), got {execution!r}")
+    if schedule != "steal":
+        raise ValueError(f"schedule must be 'steal' (the micro-batch queue), got {schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +120,9 @@ class ScenarioOutcome:
     describe the first (warm) attempt; when a fallback policy recovered a
     failure, the ``fallback_*`` fields describe the recovery and the
     ``final_*`` properties select the solve that produced the final answer.
-    ``solve_seconds`` is the scenario's *additive* solve cost — the per-solve
-    wall time in scenario mode, the scenario's share of the lockstep wall in
-    batch mode (see :class:`SweepResult`).
+    ``solve_seconds`` is the scenario's *additive* solve cost: its share of
+    the lockstep wall, where every iteration's wall time is split evenly over
+    the scenarios active in it (see :class:`SweepResult`).
     """
 
     scenario_id: int
@@ -175,21 +178,16 @@ class ScenarioOutcome:
 class SweepResult:
     """Aggregated outcome of a scenario sweep.
 
-    ``execution`` records which worker mode produced the outcomes, because it
-    decides the semantics of ``ScenarioOutcome.solve_seconds``: per-solve wall
-    time in ``"scenario"`` mode, the scenario's additive share of the
-    lockstep wall in ``"batch"`` mode (shares sum to the batch wall, so both
-    flavours are comparable and summable).
+    Every outcome was solved in lockstep, so ``ScenarioOutcome.solve_seconds``
+    is an additive share of the lockstep wall: the shares of one worker sum
+    to its solve wall, and :meth:`total_solver_seconds` is the serial-
+    equivalent work of the sweep.
     """
 
     case_name: str
     n_workers: int
     outcomes: List[ScenarioOutcome] = field(default_factory=list)
     wall_seconds: float = 0.0
-    execution: str = "scenario"
-    #: Scheduling policy that dispatched the sweep (``"static"`` or
-    #: ``"steal"``; :meth:`SolverFleet.solve_many` always records ``"steal"``).
-    schedule: str = "static"
     #: Task failure events the supervisor observed (worker crashes plus
     #: raised worker exceptions) while dispatching this sweep.
     errors: int = 0
@@ -251,7 +249,6 @@ def _build_state(
     fallback: "Optional[FallbackPolicy]" = None,
     collect_solutions: bool = False,
     model: Optional[OPFModel] = None,
-    execution: str = "scenario",
     faults: Optional[FaultPlan] = None,
     in_subprocess: bool = False,
 ) -> Dict[str, object]:
@@ -260,10 +257,8 @@ def _build_state(
         "options": options,
         "model": model or OPFModel(case, flow_limits=options.flow_limits),
         "outage_models": {},
-        "batched_models": {},
         "fallback": fallback,
         "collect_solutions": collect_solutions,
-        "execution": execution,
         "faults": faults,
         "in_subprocess": in_subprocess,
         # Tasks processed by this worker process (drives ``kill_at_task``).
@@ -276,20 +271,13 @@ def _init_worker(
     options: OPFOptions,
     fallback: "Optional[FallbackPolicy]" = None,
     collect_solutions: bool = False,
-    execution: str = "scenario",
     faults: Optional[FaultPlan] = None,
 ) -> None:
     """Pool initializer: build the per-process OPF model once."""
     _WORKER_STATE.clear()
     _WORKER_STATE.update(
         _build_state(
-            case,
-            options,
-            fallback,
-            collect_solutions,
-            execution=execution,
-            faults=faults,
-            in_subprocess=True,
+            case, options, fallback, collect_solutions, faults=faults, in_subprocess=True
         )
     )
 
@@ -322,70 +310,13 @@ def _outage_case_and_model(state: Dict[str, object], branches: Tuple[int, ...]):
     return entry
 
 
-def _solve_scenario(
-    state: Dict[str, object],
-    scenario: Scenario,
-    warm: Optional[WarmStart],
-    options: Optional[OPFOptions] = None,
-    deadline: Optional[float] = None,
-) -> OPFResult:
-    """Solve one scenario, honouring its branch-outage set when present.
-
-    Load-only scenarios reuse the persistent per-worker model; an outage
-    (single N-1 branch or a whole N-k set) changes the network topology
-    (admittances, rated-branch set), so those scenarios get a dedicated
-    case/model.  When the outage drops a rated branch the inequality
-    multipliers/slacks of a base-network warm start no longer line up, so
-    ``µ``/``Z`` fall back to solver defaults while the primal point and
-    equality multipliers are kept.
-    """
-    case: Case = state["case"]
-    model: OPFModel = state["model"]
-    options = options or state["options"]
-    if not scenario.outage_branches:
-        return solve_opf(
-            case,
-            warm_start=warm,
-            Pd_mw=scenario.Pd,
-            Qd_mvar=scenario.Qd,
-            options=options,
-            model=model,
-            deadline=deadline,
-        )
-    outage_case, outage_model = _outage_case_and_model(state, scenario.outage_branches)
-    if warm is not None and outage_model.n_ineq_nonlin != model.n_ineq_nonlin:
-        warm = warm.masked(use_mu=False, use_z=False)
-    return solve_opf(
-        outage_case,
-        warm_start=warm,
-        Pd_mw=scenario.Pd,
-        Qd_mvar=scenario.Qd,
-        options=options,
-        model=outage_model,
-        deadline=deadline,
-    )
-
-
-def _batched_model_for(
-    state: Dict[str, object], key: Tuple[int, ...], model: OPFModel
-):
-    """Per-worker memo of batched evaluation models, keyed by topology key."""
-    cache: Dict[Tuple[int, ...], BatchedOPFModel] = state["batched_models"]
-    batched = cache.get(key)
-    if batched is None:
-        batched = BatchedOPFModel(model)
-        cache[key] = batched
-    return batched
-
-
 def _topology_groups(scenarios: Sequence[Scenario]) -> Dict[Tuple[int, ...], List[int]]:
     """Group scenario positions by :func:`topology_key` (first-appearance order).
 
-    The one grouping rule shared by every solve path: the scheduler's
-    micro-batches (:func:`~repro.parallel.scheduler.make_microbatches`), the
-    static-chunk lockstep grouping and task bisection all call this (or
-    ``topology_key`` directly), so lockstep group membership cannot silently
-    diverge between the pool and the scheduler.
+    The in-process dispatch groups with this and the scheduler's
+    micro-batches (:func:`~repro.parallel.scheduler.make_microbatches`) with
+    the same ``topology_key``, so lockstep group membership cannot silently
+    diverge between the two.
     """
     groups: Dict[Tuple[int, ...], List[int]] = {}
     for pos, scenario in enumerate(scenarios):
@@ -398,43 +329,44 @@ def _lockstep_group(
     key: Tuple[int, ...],
     scenarios: Sequence[Scenario],
     warm_starts: Sequence[Optional[WarmStart]],
+    options: Optional[OPFOptions] = None,
     window: Optional[int] = None,
     deadline: Optional[object] = None,
 ) -> List[OPFResult]:
-    """Lockstep first attempts for a *topology-pure* scenario group.
+    """Solve a *topology-pure* scenario group in lockstep — the only solve path.
 
     Every scenario must share ``key`` (its sorted outage-branch tuple; ``()``
-    = the intact network); warm-start ``µ``/``Z`` are masked on topology
-    changes exactly like the scalar path.  ``window`` bounds the lockstep
-    width (retire-and-refill streaming, see
-    :func:`repro.opf.batch.solve_opf_batch`).  ``deadline`` is a scalar or a
-    per-scenario vector of absolute wall deadlines (``inf`` = unbounded),
-    forwarded to the batch solver's per-row retirement checks.
+    = the intact network).  Load-only scenarios reuse the persistent
+    per-worker model; an outage changes the network topology (admittances,
+    rated-branch set), so those scenarios get a dedicated case/model.  When
+    the outage drops a rated branch the inequality multipliers/slacks of a
+    base-network warm start no longer line up, so ``µ``/``Z`` fall back to
+    solver defaults while the primal point and equality multipliers are kept.
+
+    ``options`` overrides the fleet's solver options (relaxed fallback
+    retries).  ``window`` bounds the lockstep width (retire-and-refill
+    streaming, see :func:`repro.opf.batch.solve_opf_batch`).  ``deadline`` is
+    a scalar or a per-scenario vector of absolute wall deadlines (``inf`` =
+    unbounded), forwarded to the batch solver's per-row retirement checks.
     """
-    options: OPFOptions = state["options"]
     base_model: OPFModel = state["model"]
     key = tuple(key or ())
     if not key:
         case, model = state["case"], base_model
     else:
         case, model = _outage_case_and_model(state, key)
-    warms = []
-    for warm in warm_starts:
-        if (
-            warm is not None
-            and key
-            and model.n_ineq_nonlin != base_model.n_ineq_nonlin
-        ):
-            warm = warm.masked(use_mu=False, use_z=False)
-        warms.append(warm)
+    if model.n_ineq_nonlin != base_model.n_ineq_nonlin:
+        warm_starts = [
+            None if warm is None else warm.masked(use_mu=False, use_z=False)
+            for warm in warm_starts
+        ]
     return solve_opf_batch(
         case,
         np.stack([s.Pd for s in scenarios]),
         np.stack([s.Qd for s in scenarios]),
-        warm_starts=warms,
-        options=options,
+        warm_starts=list(warm_starts),
+        options=options or state["options"],
         model=model,
-        batched=_batched_model_for(state, key, model),
         window=window,
         deadline=deadline,
     )
@@ -448,79 +380,23 @@ def _row_deadline(deadlines: Optional[List[float]], pos: int) -> Optional[float]
     return None if np.isinf(value) else float(value)
 
 
-def _lockstep_first_attempts(
-    state: Dict[str, object],
-    scenarios: List[Scenario],
-    warm_starts: List[Optional[WarmStart]],
-    deadlines: Optional[List[float]] = None,
-    skip: Optional[Set[int]] = None,
-) -> List[Optional[OPFResult]]:
-    """First (warm) attempts for a worker batch, solved in lockstep.
-
-    Scenarios are grouped by :func:`~repro.parallel.scheduler.topology_key`
-    (via :func:`_topology_groups`) — all load-only scenarios share the base
-    network, and outage scenarios share their outaged network per branch
-    *set* — because only same-structure problems can march in lockstep.
-    Grouping by the raw ``outage_branch`` view here used to silently diverge
-    from the scheduler's key for N-k scenarios (every k ≥ 2 scenario views as
-    ``None`` and would have joined the base-network group — solved on the
-    wrong topology).  Groups of one fall back to the scalar path (a one-off
-    topology gains nothing from the batch machinery).  Warm-start ``µ``/``Z``
-    are masked on topology changes exactly like the scalar path.
-
-    ``skip`` marks positions already retired (expired deadlines).  Grouping
-    and the scalar-vs-lockstep choice are still made over the *original* row
-    set — the scalar and lockstep paths differ in the last bits, so letting a
-    retired row shrink a pair into a singleton would flip its neighbour onto
-    a different numeric path.  Skipped positions return ``None``.
-    """
-    skip = skip or set()
-    results: List[Optional[OPFResult]] = [None] * len(scenarios)
-    groups = _topology_groups(scenarios)
-    for key, positions in groups.items():
-        live = [pos for pos in positions if pos not in skip]
-        if not live:
-            continue
-        if len(positions) == 1:
-            pos = positions[0]
-            results[pos] = _solve_scenario(
-                state, scenarios[pos], warm_starts[pos],
-                deadline=_row_deadline(deadlines, pos),
-            )
-            continue
-        batch_results = _lockstep_group(
-            state,
-            key,
-            [scenarios[pos] for pos in live],
-            [warm_starts[pos] for pos in live],
-            deadline=None if deadlines is None else [deadlines[pos] for pos in live],
-        )
-        for pos, result in zip(live, batch_results):
-            results[pos] = result
-    return results
-
-
 def _outcome_for(
     state: Dict[str, object],
     scenario: Scenario,
     warm: Optional[WarmStart],
     worker_id: int,
-    first: Optional[OPFResult] = None,
+    first: OPFResult,
     deadline: Optional[float] = None,
 ) -> ScenarioOutcome:
-    """Solve one scenario, apply the fallback policy and package the outcome.
+    """Apply the fallback policy to a first attempt and package the outcome.
 
-    ``first`` short-circuits the initial solve with a result computed
-    elsewhere (the lockstep batch path); recovery still runs per scenario.
+    Recovery solves are one-row lockstep groups on the scenario's topology.
     A first attempt that timed out retires as-is — recovery would only burn
     more of a budget that is already spent — and recovery solves for ordinary
     failures inherit the scenario's deadline.
     """
     options: OPFOptions = state["options"]
     policy = state["fallback"]
-    if first is None:
-        first = _solve_scenario(state, scenario, warm, deadline=deadline)
-
     recovered: Optional[OPFResult] = None
     fallback_seconds = 0.0
     fallback_iterations = 0
@@ -528,8 +404,9 @@ def _outcome_for(
         attempts: List[OPFResult] = []
 
         def solve(warm_start, solve_options=None):
-            result = _solve_scenario(
-                state, scenario, warm_start, solve_options, deadline=deadline
+            (result,) = _lockstep_group(
+                state, topology_key(scenario), [scenario], [warm_start],
+                options=solve_options, deadline=deadline,
             )
             attempts.append(result)
             return result
@@ -570,74 +447,6 @@ def _outcome_for(
     )
 
 
-def _solve_batch_in_state(
-    state: Dict[str, object],
-    scenarios: List[Scenario],
-    warm_starts: List[Optional[WarmStart]],
-    worker_id: int,
-    deadlines: Optional[List[float]] = None,
-    skip: Optional[Set[int]] = None,
-) -> List[ScenarioOutcome]:
-    """Solve a static chunk; positions in ``skip`` are omitted from the output.
-
-    The full (unfiltered) row set must be passed even when some rows have
-    already retired — chunk-level decisions (lockstep eligibility, topology
-    group sizes) are made over the original rows so that surviving rows stay
-    on the exact numeric path they would have taken in a deadline-free sweep.
-    """
-    skip = skip or set()
-    if state.get("execution") == "batch" and len(scenarios) > 1:
-        firsts = _lockstep_first_attempts(
-            state, scenarios, warm_starts, deadlines=deadlines, skip=skip
-        )
-        return [
-            _outcome_for(
-                state, scenario, warm, worker_id, first=first,
-                deadline=_row_deadline(deadlines, pos),
-            )
-            for pos, (scenario, warm, first) in enumerate(zip(scenarios, warm_starts, firsts))
-            if pos not in skip
-        ]
-    return [
-        _outcome_for(state, scenario, warm, worker_id, deadline=_row_deadline(deadlines, pos))
-        for pos, (scenario, warm) in enumerate(zip(scenarios, warm_starts))
-        if pos not in skip
-    ]
-
-
-def _solve_keyed_group_in_state(
-    state: Dict[str, object],
-    key: Tuple[int, ...],
-    scenarios: List[Scenario],
-    warm_starts: List[Optional[WarmStart]],
-    worker_id: int,
-    window: Optional[int] = None,
-    deadlines: Optional[List[float]] = None,
-) -> List[ScenarioOutcome]:
-    """Solve a topology-pure group on the elastic (steal/grouped) paths.
-
-    Unlike the legacy static-chunk path, *every* group marches in lockstep in
-    batch mode — singletons included — so per-scenario results are one
-    canonical set regardless of how the scheduler happened to cut the queue
-    into micro-batches.  Fallback recovery stays per scenario.
-    """
-    if state.get("execution") == "batch":
-        firsts = _lockstep_group(
-            state, key, scenarios, warm_starts, window=window, deadline=deadlines
-        )
-        return [
-            _outcome_for(
-                state, scenario, warm, worker_id, first=first,
-                deadline=_row_deadline(deadlines, pos),
-            )
-            for pos, (scenario, warm, first) in enumerate(zip(scenarios, warm_starts, firsts))
-        ]
-    return [
-        _outcome_for(state, scenario, warm, worker_id, deadline=_row_deadline(deadlines, pos))
-        for pos, (scenario, warm) in enumerate(zip(scenarios, warm_starts))
-    ]
-
-
 def _worker_identity() -> int:
     """This process's 1-based pool-worker index (0 in the parent process).
 
@@ -650,19 +459,17 @@ def _worker_identity() -> int:
 
 
 # -------------------------------------------------------------- task machinery
-#: A dispatch task is a plain picklable dict:
+#: A dispatch task is a plain picklable dict carrying one topology-pure
+#: lockstep group:
 #:
-#: * ``kind`` — ``"static_chunk"`` (legacy chunk semantics: per-chunk
-#:   topology grouping, scalar shortcut for one-off topologies) or
-#:   ``"keyed_group"`` (topology-pure, always lockstep in batch mode);
 #: * ``positions`` — global sweep positions of the carried scenarios;
 #: * ``scenarios`` / ``warm_starts`` — the carried work, aligned with
 #:   ``positions``;
-#: * ``key`` — the topology key of a ``keyed_group`` task (the sorted
-#:   outage-branch tuple; ``()`` for the intact network);
+#: * ``key`` — the shared topology key (the sorted outage-branch tuple;
+#:   ``()`` for the intact network);
 #: * ``worker_id`` — the worker label stamped on outcomes (``None`` = the
-#:   executing process's own identity, the steal-mode label);
-#: * ``window`` — optional lockstep window for ``keyed_group`` tasks;
+#:   executing process's own identity);
+#: * ``window`` — optional lockstep window;
 #: * ``attempt`` — crash-retry attempt number (0 = first dispatch), which
 #:   fault plans key on;
 #: * ``deadline`` — ``None`` (unbounded task) or a tuple of absolute
@@ -672,7 +479,6 @@ def _worker_identity() -> int:
 
 
 def _make_task(
-    kind: str,
     positions: Sequence[int],
     key: Optional[Tuple[int, ...]],
     scenarios: List[Scenario],
@@ -682,7 +488,6 @@ def _make_task(
     due: Optional[np.ndarray],
 ) -> Dict[str, object]:
     return {
-        "kind": kind,
         "positions": tuple(positions),
         "key": key,
         "scenarios": [scenarios[i] for i in positions],
@@ -709,51 +514,27 @@ def _task_deadlines(task: Dict[str, object]) -> Optional[List[float]]:
 
 
 def _split_task(task: Dict[str, object]) -> Optional[List[Dict[str, object]]]:
-    """Bisect a repeatedly-failing task; ``None`` when it cannot shrink.
+    """Bisect a repeatedly-failing task into two halves; ``None`` at one row.
 
-    Splitting must preserve the bitwise parity of surviving scenarios with a
-    fault-free sweep, so it follows the solve-path semantics:
-
-    * a task spanning several topology groups splits into one fragment per
-      group, **keeping the parent kind** — inside a static chunk each group
-      already solved independently (scalar for singletons, lockstep
-      otherwise), so per-group fragments replay the exact same paths;
-    * a topology-pure task halves into ``"keyed_group"`` fragments, which
-      march in lockstep *even as singletons*; lockstep rows are independent
-      bit for bit, so any cut of a lockstep group reproduces its rows.
-
-    Fragments restart the retry budget (``attempt=0``).
+    Lockstep rows are independent bit for bit, so any cut of a group
+    reproduces its rows and the surviving scenarios keep their fault-free
+    results.  Fragments restart the retry budget (``attempt=0``).
     """
     positions: Tuple[int, ...] = task["positions"]
     if len(positions) <= 1:
         return None
-    scenarios: List[Scenario] = task["scenarios"]
-    warm_starts: List[Optional[WarmStart]] = task["warm_starts"]
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for i, scenario in enumerate(scenarios):
-        groups.setdefault(topology_key(scenario), []).append(i)
-
     deadlines = _task_deadlines(task)
-
-    def fragment(local: List[int], kind: str, key: Tuple[int, ...]) -> Dict[str, object]:
-        return dict(
-            task,
-            kind=kind,
-            key=key,
-            positions=tuple(positions[i] for i in local),
-            scenarios=[scenarios[i] for i in local],
-            warm_starts=[warm_starts[i] for i in local],
-            attempt=0,
-            deadline=None if deadlines is None else tuple(deadlines[i] for i in local),
-        )
-
-    if len(groups) > 1:
-        return [fragment(local, task["kind"], key) for key, local in groups.items()]
-    ((key, local),) = groups.items()
-    half = len(local) // 2
+    half = len(positions) // 2
     return [
-        fragment(local[:half], "keyed_group", key),
-        fragment(local[half:], "keyed_group", key),
+        dict(
+            task,
+            positions=positions[part],
+            scenarios=task["scenarios"][part],
+            warm_starts=task["warm_starts"][part],
+            attempt=0,
+            deadline=None if deadlines is None else tuple(deadlines[part]),
+        )
+        for part in (slice(None, half), slice(half, None))
     ]
 
 
@@ -807,6 +588,7 @@ def _solve_task_in_state(
             raise FaultInjectionError(spec.message)
     deadlines = _task_deadlines(task)
     warm_starts: List[Optional[WarmStart]] = task["warm_starts"]
+    worker = _task_worker_label(task)
     retired: Dict[int, ScenarioOutcome] = {}
     if deadlines is not None:
         # Row-wise deadline gate: a coalesced task carries rows with different
@@ -816,7 +598,6 @@ def _solve_task_in_state(
         # leaves the surviving rows' results bitwise identical to a sweep
         # where the expired rows never existed.
         now = time.monotonic()
-        worker = _task_worker_label(task)
         for pos, row_deadline in enumerate(deadlines):
             if now >= row_deadline:
                 retired[pos] = _retired_outcome(
@@ -825,38 +606,20 @@ def _solve_task_in_state(
         if retired and len(retired) == len(scenarios):
             return [retired[pos] for pos in range(len(scenarios))]
 
-    if task["kind"] == "static_chunk":
-        # The static path must see the full original row set: its topology
-        # grouping picks the scalar shortcut for one-off topologies, and that
-        # choice has to match the deadline-free sweep bit-for-bit.  Expired
-        # rows are skipped inside, never re-grouped around.
-        solved = _solve_batch_in_state(
-            state,
-            scenarios,
-            warm_starts,
-            _task_worker_label(task),
-            deadlines=deadlines,
-            skip=set(retired),
-        )
-    else:
-        # Keyed groups always march in lockstep and lockstep rows are
-        # bit-independent, so simply dropping the expired rows keeps the
-        # survivors on their canonical numeric path.
-        if retired:
-            live = [pos for pos in range(len(scenarios)) if pos not in retired]
-            scenarios = [scenarios[pos] for pos in live]
-            warm_starts = [warm_starts[pos] for pos in live]
-            if deadlines is not None:
-                deadlines = [deadlines[pos] for pos in live]
-        solved = _solve_keyed_group_in_state(
-            state,
-            task["key"],
-            scenarios,
-            warm_starts,
-            _task_worker_label(task),
-            window=task["window"],
-            deadlines=deadlines,
-        )
+    # Lockstep rows are bit-independent, so dropping the expired rows keeps
+    # the survivors on their canonical numeric path.
+    if retired:
+        live = [pos for pos in range(len(scenarios)) if pos not in retired]
+        scenarios = [scenarios[pos] for pos in live]
+        warm_starts = [warm_starts[pos] for pos in live]
+        deadlines = [deadlines[pos] for pos in live]
+    firsts = _lockstep_group(
+        state, task["key"], scenarios, warm_starts, window=task["window"], deadline=deadlines
+    )
+    solved = [
+        _outcome_for(state, scenario, warm, worker, first, _row_deadline(deadlines, row))
+        for row, (scenario, warm, first) in enumerate(zip(scenarios, warm_starts, firsts))
+    ]
     if not retired:
         return solved
     outs: List[ScenarioOutcome] = []
@@ -880,22 +643,16 @@ class SolverFleet:
     pool whose workers stay alive across :meth:`solve` calls, so a serving
     engine pays process start-up and model construction once, not per batch.
 
-    ``execution`` selects how each worker solves its chunk: ``"scenario"``
-    (one solve at a time, the default) or ``"batch"`` (lockstep batched MIPS
-    over same-topology scenarios — see :func:`repro.opf.batch.solve_opf_batch`).
-    The modes compose: a multi-worker batch fleet runs one lockstep batch per
-    worker process.
-
-    ``schedule`` selects how work reaches the workers.  ``"static"`` (the
-    default) gives each worker one chunk up front, balanced by predicted
-    scenario cost so a hot chunk cannot serialise the sweep; ``"steal"`` cuts
-    the sweep into topology-keyed micro-batches (``microbatch`` scenarios
-    each, auto-sized when omitted) that idle workers pull from a shared
-    queue, and streams in-process groups through a retire-and-refill lockstep
-    window.  Scheduling never changes *how* a scenario is solved within a
-    policy: elastic results are invariant under steal order, worker count and
-    micro-batch size (the static batch path keeps its legacy scalar shortcut
-    for one-off topologies, so it is pinned separately).
+    Every scenario is solved in a topology-keyed lockstep group (see
+    :func:`repro.opf.batch.solve_opf_batch`).  Multi-worker fleets cut the
+    sweep into micro-batches (``microbatch`` scenarios each, auto-sized when
+    omitted) that idle workers pull from a shared queue; the in-process
+    fleet solves whole topology groups, through a retire-and-refill lockstep
+    window of ``microbatch`` rows when one is given.  Results are invariant
+    under steal order, worker count and micro-batch size.  ``execution`` and
+    ``schedule`` accept only ``"batch"`` and ``"steal"`` (see
+    :func:`validate_solve_path`).  ``model`` must be built on ``case``
+    itself.
 
     Dispatch is supervised: a worker that dies mid-task is respawned and its
     task retried (``crash_retries`` attempts per task), then bisected until
@@ -916,18 +673,19 @@ class SolverFleet:
         fallback: "Optional[FallbackPolicy]" = None,
         collect_solutions: bool = False,
         model: Optional[OPFModel] = None,
-        execution: str = "scenario",
-        schedule: str = "static",
+        execution: str = "batch",
+        schedule: str = "steal",
         microbatch: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         crash_retries: int = 1,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if execution not in EXECUTION_MODES:
-            raise ValueError(f"execution must be one of {EXECUTION_MODES}")
-        if schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}")
+        validate_solve_path(execution, schedule)
+        if model is not None and model.case is not case:
+            # Every task would fail on it and be retried, bisected and
+            # quarantined; reject it before any work is dispatched.
+            raise ValueError("the supplied model was built for a different case object")
         if microbatch is not None and microbatch < 1:
             raise ValueError("microbatch must be positive")
         if crash_retries < 0:
@@ -937,8 +695,6 @@ class SolverFleet:
         self.n_workers = n_workers
         self.fallback = fallback
         self.collect_solutions = collect_solutions
-        self.execution = execution
-        self.schedule = schedule
         self.microbatch = microbatch
         self.faults = faults
         self.crash_retries = crash_retries
@@ -946,14 +702,13 @@ class SolverFleet:
         self._state: Optional[Dict[str, object]] = None
         if n_workers == 1:
             self._state = _build_state(
-                case, self.options, fallback, collect_solutions, model=model,
-                execution=execution, faults=faults,
+                case, self.options, fallback, collect_solutions, model=model, faults=faults
             )
         else:
             self._pool = SupervisedPool(
                 n_workers,
                 initializer=_init_worker,
-                initargs=(case, self.options, fallback, collect_solutions, execution, faults),
+                initargs=(case, self.options, fallback, collect_solutions, faults),
             )
 
     # ------------------------------------------------------------------ solving
@@ -1021,18 +776,13 @@ class SolverFleet:
 
         scenarios = list(scenario_set)
         start = time.perf_counter()
-        if self.schedule == "steal":
-            outcomes, stats = self._dispatch_elastic(scenarios, list(warm_starts), due)
-        else:
-            outcomes, stats = self._dispatch_static(scenarios, list(warm_starts), due)
+        outcomes, stats = self._dispatch(scenarios, list(warm_starts), due)
         wall = time.perf_counter() - start
 
         sweep = SweepResult(
             case_name=self.case.name,
             n_workers=self.n_workers,
             wall_seconds=wall,
-            execution=self.execution,
-            schedule=self.schedule,
             errors=stats["errors"],
             retries=stats["retries"],
             quarantined=stats["quarantined"],
@@ -1054,10 +804,8 @@ class SolverFleet:
         scenarios of *different* sweeps that share an outage branch (or the
         base network) land in the same lockstep group — outage-heavy SC-ACOPF
         screening no longer fragments into tiny per-sweep per-branch groups
-        that forfeit the batch win.  Always scheduled elastically (micro-batch
-        queue with stealing) whatever the fleet's ``schedule`` setting;
-        per-scenario results are bit-identical to solving each sweep
-        separately on an elastic fleet.
+        that forfeit the batch win.  Per-scenario results are bit-identical
+        to solving each sweep separately.
 
         ``warm_starts`` is an optional per-sweep sequence of per-scenario
         lists (``None`` sweeps mean all-cold).  Returns one
@@ -1090,7 +838,7 @@ class SolverFleet:
 
         due = self._deadline_vector(deadline_seconds, deadline, len(flat_scenarios))
         start = time.perf_counter()
-        outcomes, stats = self._dispatch_elastic(flat_scenarios, flat_warms, due)
+        outcomes, stats = self._dispatch(flat_scenarios, flat_warms, due)
         wall = time.perf_counter() - start
 
         sweeps = [
@@ -1098,8 +846,6 @@ class SolverFleet:
                 case_name=self.case.name,
                 n_workers=self.n_workers,
                 wall_seconds=wall,
-                execution=self.execution,
-                schedule="steal",
                 errors=stats["errors"],
                 retries=stats["retries"],
                 quarantined=stats["quarantined"],
@@ -1118,31 +864,7 @@ class SolverFleet:
             raise RuntimeError("fleet is closed")
         return self._state
 
-    def _dispatch_static(
-        self,
-        scenarios: List[Scenario],
-        warm_starts: List[Optional[WarmStart]],
-        due: Optional[np.ndarray] = None,
-    ) -> Tuple[List[ScenarioOutcome], Dict[str, int]]:
-        """Cost-balanced fixed chunks, one per worker (the legacy scatter).
-
-        Chunks are balanced by :func:`~repro.parallel.scheduler.predicted_cost`
-        instead of the seed's count-equal split, so a single expensive
-        (cold / outage) scenario is paired with fewer cheap ones rather than
-        serialising its chunk.
-        """
-        assignment = balanced_assignment(scenarios, warm_starts, self.n_workers)
-        tasks = [
-            _make_task(
-                "static_chunk", positions, None, scenarios, warm_starts,
-                worker_id, None, due,
-            )
-            for worker_id, positions in enumerate(assignment)
-            if positions
-        ]
-        return self._run_tasks(tasks, len(scenarios))
-
-    def _dispatch_elastic(
+    def _dispatch(
         self,
         scenarios: List[Scenario],
         warm_starts: List[Optional[WarmStart]],
@@ -1167,10 +889,7 @@ class SolverFleet:
             # window-invariant bit for bit either way.
             grouped = _topology_groups(scenarios)
             tasks = [
-                _make_task(
-                    "keyed_group", positions, key, scenarios, warm_starts,
-                    0, self.microbatch, due,
-                )
+                _make_task(positions, key, scenarios, warm_starts, 0, self.microbatch, due)
                 for key, positions in grouped.items()
             ]
         else:
@@ -1179,8 +898,7 @@ class SolverFleet:
             )
             tasks = [
                 _make_task(
-                    "keyed_group", microbatch.positions, microbatch.key,
-                    scenarios, warm_starts, None, None, due,
+                    microbatch.positions, microbatch.key, scenarios, warm_starts, None, None, due
                 )
                 for microbatch in microbatches
             ]
@@ -1298,8 +1016,6 @@ def run_scenario_sweep(
     fallback: "Optional[FallbackPolicy]" = None,
     collect_solutions: bool = False,
     model: Optional[OPFModel] = None,
-    execution: str = "scenario",
-    schedule: str = "static",
     microbatch: Optional[int] = None,
     faults: Optional[FaultPlan] = None,
     crash_retries: int = 1,
@@ -1319,8 +1035,6 @@ def run_scenario_sweep(
         fallback=fallback,
         collect_solutions=collect_solutions,
         model=model,
-        execution=execution,
-        schedule=schedule,
         microbatch=microbatch,
         faults=faults,
         crash_retries=crash_retries,

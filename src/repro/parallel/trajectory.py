@@ -160,10 +160,10 @@ class MultiPeriodSweep:
 
     The fleet must collect solutions (``collect_solutions=True``) — the
     chained warm starts *are* the previous step's solutions.  The driver
-    itself is policy-free about intra-step execution: whatever schedule /
-    execution mode / microbatch window the fleet was built with applies to
-    each step's sweep unchanged, so trajectory results inherit the fleet's
-    bitwise scheduling invariance within every step.
+    is policy-free about intra-step dispatch: whatever worker count and
+    microbatch window the fleet was built with applies to each step's sweep
+    unchanged, so trajectory results inherit the fleet's bitwise scheduling
+    invariance within every step.
     """
 
     def __init__(self, fleet: SolverFleet, warm_chain: bool = True):

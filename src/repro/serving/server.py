@@ -5,8 +5,8 @@ library call into a concurrent request/response service.  Clients submit
 load-profile requests — each with its own wall-clock budget — and await a
 per-request :class:`~repro.parallel.pool.SweepResult`; between the two sits a
 **dynamic batcher** that coalesces concurrent requests into one batched MTL
-inference plus one lockstep ``mips_batch`` dispatch (the engine's ``"batch"``
-execution admits the coalesced rows through the retire-and-refill ``feed``
+inference plus one lockstep ``mips_batch`` dispatch (the engine's lockstep
+groups admit the coalesced rows through the retire-and-refill ``feed``
 window), then splits the per-scenario outcomes back onto per-request futures.
 
 A flush fires on whichever pressure arrives first:
@@ -105,10 +105,9 @@ class AsyncServer:
     Parameters
     ----------
     engine:
-        The warm-start engine every flush is served by.  Lockstep batch
-        execution (``execution="batch"``) is where coalescing pays — the
-        flush becomes one lockstep window — but any engine configuration
-        works.
+        The warm-start engine every flush is served by.  Each flush becomes
+        one lockstep solve per topology group, which is where coalescing
+        pays.
     n_workers:
         Fleet width handed to :meth:`WarmStartEngine.serve` per flush.
     max_batch:
@@ -364,8 +363,6 @@ class AsyncServer:
                 case_name=sweep.case_name,
                 n_workers=sweep.n_workers,
                 wall_seconds=sweep.wall_seconds,
-                execution=sweep.execution,
-                schedule=sweep.schedule,
                 errors=sweep.errors,
                 retries=sweep.retries,
                 quarantined=sweep.quarantined,

@@ -89,8 +89,6 @@ def test_grouped_n1_screening_matches_per_sweep_bitwise(case_name):
 
     with SolverFleet(
         case,
-        execution="batch",
-        schedule="steal",
         microbatch=3,
         collect_solutions=True,
     ) as fleet:
@@ -114,8 +112,6 @@ def test_grouped_parity_with_mixed_fallback_members():
 
     with SolverFleet(
         case,
-        execution="batch",
-        schedule="steal",
         microbatch=2,
         fallback=get_fallback_policy("cold_restart"),
         collect_solutions=True,
@@ -135,7 +131,7 @@ def test_solve_many_wall_and_share_semantics():
     case = get_case("case14")
     branches = _outage_candidates(case, 2)
     sweeps = _n1_sweeps(case, branches, per_sweep=4, n_sweeps=2, seed=9)
-    with SolverFleet(case, execution="batch", schedule="steal", microbatch=2) as fleet:
+    with SolverFleet(case, microbatch=2) as fleet:
         grouped = fleet.solve_many(sweeps)
     assert grouped[0].wall_seconds == grouped[1].wall_seconds
     total_share = sum(sweep.total_solver_seconds() for sweep in grouped)

@@ -15,6 +15,7 @@ from repro.data import generate_dataset
 from repro.opf import OPFOptions, relaxed_options, solve_opf
 from repro.mips.options import MIPSOptions
 from repro.parallel import ScenarioSet, SolverFleet, generate_scenarios, run_scenario_sweep
+from scalar_reference import solve_opf_scalar
 
 
 @pytest.fixture(scope="module")
@@ -75,21 +76,20 @@ def test_engine_serve_scenarios(engine9, case9_fixture):
 
 
 def test_engine_serve_batch_execution_matches_scenario(trained_trainer9, case9_fixture):
-    """A batch-mode engine serves the same outcomes as a scenario-mode one."""
+    """Lockstep engine serving matches per-scenario scalar reference solves."""
     scenarios = generate_scenarios(case9_fixture, 6, variation=0.05, seed=13)
-    with pytest.raises(ValueError, match="execution"):
-        WarmStartEngine.from_trainer(trained_trainer9, execution="warp")
-    with WarmStartEngine.from_trainer(trained_trainer9) as engine_scenario, \
-            WarmStartEngine.from_trainer(trained_trainer9, execution="batch") as engine_batch:
-        assert engine_batch.execution == "batch"
-        sweep_scenario = engine_scenario.serve(scenarios)
-        sweep_batch = engine_batch.serve(scenarios)
-    assert sweep_batch.n_scenarios == sweep_scenario.n_scenarios
-    for a, b in zip(sweep_scenario.outcomes, sweep_batch.outcomes):
-        assert a.success == b.success
-        if a.success:
-            assert a.iterations == b.iterations
-            assert a.objective == pytest.approx(b.objective, rel=1e-8)
+    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
+        sweep = engine.serve(scenarios)
+        warms = engine.warm_starts_for(scenarios.feature_matrix(case9_fixture.base_mva))
+    assert sweep.n_scenarios == len(scenarios)
+    for scenario, warm, outcome in zip(scenarios, warms, sweep.outcomes):
+        reference = solve_opf_scalar(
+            case9_fixture, warm_start=warm, Pd_mw=scenario.Pd, Qd_mvar=scenario.Qd
+        )
+        assert outcome.success == reference.success
+        if reference.success:
+            assert outcome.iterations == reference.iterations
+            assert outcome.objective == pytest.approx(reference.objective, rel=1e-8)
 
 
 def test_engine_serve_loads_matrix(engine9, case9_fixture):
@@ -351,7 +351,9 @@ def test_fleet_spawn_workers_roundtrip(case9_fixture):
     )
     assert sweep.n_scenarios == 4
     assert sweep.success_rate == 1.0
-    assert {o.worker for o in sweep.outcomes} == {0, 1}
+    # Outcomes carry the (positive) identity of the pool process that solved them.
+    workers = {o.worker for o in sweep.outcomes}
+    assert 1 <= len(workers) <= 2 and min(workers) >= 1
     assert all(o.solution is not None for o in sweep.outcomes)
     # Identical to the in-process fleet (same solves, different processes).
     inline = run_scenario_sweep(case9_fixture, scenarios, n_workers=1)
@@ -366,38 +368,27 @@ def test_sweep_warm_start_count_validation(case9_fixture):
 
 # ---------------------------------------------------------- pooled ground truth
 def test_pooled_dataset_generation_matches_direct_solves(case9_fixture, opf_model9):
-    """The pooled scenario-mode path reproduces per-sample direct solves exactly.
+    """The pooled path reproduces per-sample direct ``solve_opf`` calls exactly.
 
-    The default (lockstep batch) path evaluates callbacks batch-vectorised, so
-    it matches per-sample solves to solver-tolerance precision — identical
-    iteration counts, objectives to 1e-12 — rather than bit-for-bit.
+    Both are lockstep solves (``solve_opf`` is a one-row batch), so every
+    field matches bit for bit.
     """
     from repro.grid.perturb import sample_loads
 
-    dataset = generate_dataset(
-        case9_fixture, 5, seed=42, model=opf_model9, execution="scenario"
-    )
-    batch_set = generate_dataset(case9_fixture, 5, seed=42, model=opf_model9)
+    dataset = generate_dataset(case9_fixture, 5, seed=42, model=opf_model9)
     samples = sample_loads(case9_fixture, 5, variation=0.1, seed=42)
-    assert dataset.n_samples == batch_set.n_samples == 5
+    assert dataset.n_samples == 5
     for i, sample in enumerate(samples):
         result = solve_opf(
             case9_fixture, Pd_mw=sample.Pd, Qd_mvar=sample.Qd, model=opf_model9
         )
         assert result.success
         assert dataset.iterations[i] == result.iterations
-        assert dataset.objectives[i] == pytest.approx(result.objective, rel=1e-12)
+        assert dataset.objectives[i] == result.objective
         parts = opf_model9.idx.split(result.x)
         np.testing.assert_array_equal(dataset.targets["Vm"][i], parts["Vm"])
         np.testing.assert_array_equal(dataset.targets["lam"][i], result.lam)
         np.testing.assert_array_equal(dataset.targets["mu"][i], result.mu)
-        # Default batch-mode generation: same trajectories, same supervision
-        # signal, solver-precision equality.
-        assert batch_set.iterations[i] == result.iterations
-        assert batch_set.objectives[i] == pytest.approx(result.objective, rel=1e-12)
-        np.testing.assert_allclose(batch_set.targets["Vm"][i], parts["Vm"], atol=1e-9)
-        np.testing.assert_allclose(batch_set.targets["lam"][i], result.lam, atol=1e-7)
-        np.testing.assert_allclose(batch_set.targets["mu"][i], result.mu, atol=1e-7)
 
 
 def test_generate_dataset_collects_solutions_only_internally(case9_fixture, opf_model9):

@@ -3,9 +3,8 @@
 The acceptance bar for the fault-tolerant runtime: with a deterministic
 injected worker crash mid-sweep, the fleet completes, returns one outcome per
 scenario, and every non-quarantined converged scenario is **bitwise
-identical** to the fault-free run — on both schedules and both lockstep KKT
-backends.  No injected fault may escape the serving engine as an unhandled
-exception.
+identical** to the fault-free run — on both lockstep KKT backends.  No
+injected fault may escape the serving engine as an unhandled exception.
 """
 
 import time
@@ -74,14 +73,14 @@ def test_fault_plan_lookups():
 
 
 # ---------------------------------------------------------------- chaos parity
-@pytest.mark.parametrize("schedule", ["static", "steal"])
+@pytest.mark.parametrize("schedule", ["steal"])
 @pytest.mark.parametrize("kkt_solver", ["factorized", "blockdiag"])
 def test_worker_crash_parity(case9_fixture, scenarios9, schedule, kkt_solver):
     """A persistent mid-sweep worker kill quarantines exactly the culprit and
     leaves every other scenario bitwise identical to the fault-free run."""
     options = _batch_options(kkt_solver)
     with SolverFleet(
-        case9_fixture, options=options, n_workers=2, execution="batch", schedule=schedule
+        case9_fixture, options=options, n_workers=2, schedule=schedule
     ) as fleet:
         reference = fleet.solve(scenarios9)
     assert reference.errors == 0 and reference.quarantined == 0
@@ -91,7 +90,6 @@ def test_worker_crash_parity(case9_fixture, scenarios9, schedule, kkt_solver):
         case9_fixture,
         options=options,
         n_workers=2,
-        execution="batch",
         schedule=schedule,
         faults=plan,
     ) as fleet:
@@ -114,7 +112,7 @@ def test_worker_crash_parity(case9_fixture, scenarios9, schedule, kkt_solver):
 def test_transient_crash_retries_to_full_parity(case9_fixture, scenarios9):
     """A kill absorbed by one retry costs accounting, not results."""
     with SolverFleet(
-        case9_fixture, n_workers=2, execution="batch", schedule="steal"
+        case9_fixture, n_workers=2
     ) as fleet:
         reference = fleet.solve(scenarios9)
 
@@ -122,8 +120,6 @@ def test_transient_crash_retries_to_full_parity(case9_fixture, scenarios9):
     with SolverFleet(
         case9_fixture,
         n_workers=2,
-        execution="batch",
-        schedule="steal",
         faults=plan,
     ) as fleet:
         chaos = fleet.solve(scenarios9)
@@ -140,13 +136,13 @@ def test_transient_crash_retries_to_full_parity(case9_fixture, scenarios9):
 def test_raise_in_solver_quarantines_culprit_in_process(case9_fixture, scenarios9):
     """The in-process fleet runs the identical retry/bisect/quarantine policy."""
     with SolverFleet(
-        case9_fixture, n_workers=1, execution="batch", schedule="steal"
+        case9_fixture, n_workers=1
     ) as fleet:
         reference = fleet.solve(scenarios9)
 
     plan = FaultPlan.of(raise_in_solver(5, message="injected numerical explosion"))
     with SolverFleet(
-        case9_fixture, n_workers=1, execution="batch", schedule="steal", faults=plan
+        case9_fixture, n_workers=1, faults=plan
     ) as fleet:
         chaos = fleet.solve(scenarios9)
 
@@ -163,7 +159,7 @@ def test_kill_at_task_is_transient_in_process(case9_fixture, scenarios9):
     """A task-counter kill hits once; the retried task finds a moved counter."""
     plan = FaultPlan.of(kill_at_task(0))
     with SolverFleet(
-        case9_fixture, n_workers=1, execution="batch", schedule="steal", faults=plan
+        case9_fixture, n_workers=1, faults=plan
     ) as fleet:
         sweep = fleet.solve(scenarios9)
     assert sweep.errors >= 1 and sweep.retries >= 1 and sweep.quarantined == 0
@@ -176,8 +172,6 @@ def test_crash_retries_zero_bisects_immediately(case9_fixture, scenarios9):
     with SolverFleet(
         case9_fixture,
         n_workers=1,
-        execution="batch",
-        schedule="steal",
         faults=plan,
         crash_retries=0,
     ) as fleet:
@@ -190,7 +184,7 @@ def test_crash_retries_zero_bisects_immediately(case9_fixture, scenarios9):
 
 # -------------------------------------------------------- deadlines / timeouts
 def test_expired_deadline_retires_whole_sweep(case9_fixture, scenarios9):
-    with SolverFleet(case9_fixture, n_workers=1, execution="batch") as fleet:
+    with SolverFleet(case9_fixture, n_workers=1) as fleet:
         sweep = fleet.solve(scenarios9, deadline=time.monotonic() - 1.0)
     assert sweep.n_scenarios == len(scenarios9)
     assert all(o.timed_out and not o.converged for o in sweep.outcomes)
@@ -211,8 +205,6 @@ def test_stalled_scenario_times_out_alone(case9_fixture, scenarios9):
     with SolverFleet(
         case9_fixture,
         n_workers=2,
-        execution="batch",
-        schedule="steal",
         microbatch=1,
         faults=plan,
     ) as fleet:
@@ -237,7 +229,7 @@ def test_no_fault_escapes_engine_serve(trained_trainer9, case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 6, seed=4, contingency_fraction=0.5)
     plan = FaultPlan.of(kill_worker(1), raise_in_solver(4, message="chaos"))
     engine = WarmStartEngine.from_trainer(
-        trained_trainer9, execution="batch", schedule="steal"
+        trained_trainer9
     )
     engine.faults = plan
     with engine:

@@ -12,6 +12,8 @@ import time
 
 import pytest
 
+from repro.grid import case9, case14
+from repro.opf import OPFModel
 from repro.parallel import PoolClosedError, SolverFleet, SweepResult, generate_scenarios
 from repro.parallel.scenarios import ScenarioSet
 from repro.testing.faults import FaultPlan, kill_worker, stall_solve
@@ -20,6 +22,16 @@ from repro.testing.faults import FaultPlan, kill_worker, stall_solve
 @pytest.fixture(scope="module")
 def scenarios9(case9_fixture):
     return generate_scenarios(case9_fixture, 6, seed=1, contingency_fraction=0.5)
+
+
+# --------------------------------------------------------------- construction
+@pytest.mark.parametrize("other_case", [case14, case9], ids=["other-case", "equal-copy"])
+def test_fleet_rejects_model_built_for_another_case(case9_fixture, other_case):
+    """A model of any other case object — even an equal-content copy — would
+    fail every task, so the fleet refuses it up front."""
+    with pytest.raises(ValueError, match="different case"):
+        SolverFleet(case9_fixture, model=OPFModel(other_case()))
+    SolverFleet(case9_fixture, model=OPFModel(case9_fixture)).close()
 
 
 # ------------------------------------------------------------------- shutdown
@@ -37,7 +49,7 @@ def test_close_is_idempotent_and_final(case9_fixture, scenarios9):
 
 
 def test_context_manager_leaves_no_orphan_processes(case9_fixture, scenarios9):
-    with SolverFleet(case9_fixture, n_workers=2, execution="batch", schedule="steal") as fleet:
+    with SolverFleet(case9_fixture, n_workers=2) as fleet:
         sweep = fleet.solve(scenarios9)
         assert sweep.n_scenarios == len(scenarios9)
         procs = list(fleet._pool.processes)
@@ -50,7 +62,7 @@ def test_close_with_sweep_in_flight_aborts_cleanly(case9_fixture, scenarios9):
     """Closing from another thread aborts the dispatch instead of hanging."""
     plan = FaultPlan.of(*(stall_solve(sid, seconds=30.0) for sid in range(len(scenarios9))))
     fleet = SolverFleet(
-        case9_fixture, n_workers=2, execution="batch", schedule="steal", faults=plan
+        case9_fixture, n_workers=2, faults=plan
     )
     procs = list(fleet._pool.processes)
     raised = []
@@ -77,7 +89,7 @@ def test_crash_respawn_keeps_worker_count_and_fleet_reusable(case9_fixture, scen
     """A crashed worker is respawned into its slot; the fleet keeps serving."""
     plan = FaultPlan.of(kill_worker(2, last_attempt=0))
     with SolverFleet(
-        case9_fixture, n_workers=2, execution="batch", schedule="steal", faults=plan
+        case9_fixture, n_workers=2, faults=plan
     ) as fleet:
         first = fleet.solve(scenarios9)
         assert fleet._pool.respawns >= 1
@@ -105,7 +117,7 @@ def test_empty_sweep_result_rates_are_defined():
     assert math.isnan(empty.throughput)  # zero wall, zero work
 
 
-@pytest.mark.parametrize("schedule", ["static", "steal"])
+@pytest.mark.parametrize("schedule", ["steal"])
 def test_in_process_fleet_solves_empty_set(case9_fixture, schedule):
     empty = ScenarioSet(case9_fixture.name, [])
     with SolverFleet(case9_fixture, n_workers=1, schedule=schedule) as fleet:

@@ -1,5 +1,8 @@
 """Parity suite: the lockstep batched solver against the scalar MIPS path.
 
+The scalar side of the AC-OPF comparisons is :func:`solve_opf_scalar`, the
+test-only reference that drives the scalar OPF callbacks through ``mips``.
+
 ``mips_batch`` must reproduce the scalar solver scenario-by-scenario — same
 iteration counts, objectives and multipliers for converged scenarios, same
 failure classification for diverging ones — on random same-structure QPs and
@@ -27,6 +30,7 @@ from repro.opf.constraints import constraint_function
 from repro.opf.hessian import lagrangian_hessian
 from repro.parallel import generate_scenarios, run_scenario_sweep
 from repro.utils.sparse import csr_from_template
+from scalar_reference import solve_opf_scalar
 
 
 def _dense(template, data_row):
@@ -174,7 +178,7 @@ def test_cold_sweep_parity(case_name):
     batch = solve_opf_batch(case, Pd, Qd, model=model)
     scalar_model = OPFModel(case)
     scalar = [
-        solve_opf(case, Pd_mw=Pd[i], Qd_mvar=Qd[i], model=scalar_model)
+        solve_opf_scalar(case, Pd_mw=Pd[i], Qd_mvar=Qd[i], model=scalar_model)
         for i in range(Pd.shape[0])
     ]
     assert all(r.success for r in scalar)
@@ -197,7 +201,9 @@ def test_warm_sweep_parity(case_name):
     batch = solve_opf_batch(case, Pd2, Qd, warm_starts=warms, model=model)
     scalar_model = OPFModel(case)
     scalar = [
-        solve_opf(case, warm_start=warms[i], Pd_mw=Pd2[i], Qd_mvar=Qd[i], model=scalar_model)
+        solve_opf_scalar(
+            case, warm_start=warms[i], Pd_mw=Pd2[i], Qd_mvar=Qd[i], model=scalar_model
+        )
         for i in range(Pd.shape[0])
     ]
     _assert_opf_parity(batch, scalar)
@@ -219,7 +225,7 @@ def test_mixed_batch_with_cold_warm_and_divergent():
     )
     scalar_model = OPFModel(case)
     scalar = [
-        solve_opf(
+        solve_opf_scalar(
             case,
             warm_start=[None, warm, None][i],
             Pd_mw=Pd[i],
@@ -242,20 +248,21 @@ def test_mixed_batch_with_cold_warm_and_divergent():
 
 # ----------------------------------------------------------- fleet integration
 def test_fleet_batch_execution_matches_scenario_mode():
+    """Fleet lockstep groups match per-scenario scalar solves, N-1 included."""
     case = get_case("case14")
     scenarios = generate_scenarios(
         case, 8, variation=0.08, contingency_fraction=0.4, seed=5
     )
     assert any(s.outage_branch is not None for s in scenarios)
-    sweep_scenario = run_scenario_sweep(case, scenarios, execution="scenario")
-    sweep_batch = run_scenario_sweep(case, scenarios, execution="batch")
-    assert sweep_batch.n_scenarios == sweep_scenario.n_scenarios
-    for a, b in zip(sweep_scenario.outcomes, sweep_batch.outcomes):
-        assert a.scenario_id == b.scenario_id
-        assert a.success == b.success
-        if a.success:
-            assert a.iterations == b.iterations
-            assert a.objective == pytest.approx(b.objective, rel=1e-8)
+    sweep = run_scenario_sweep(case, scenarios)
+    assert sweep.n_scenarios == len(scenarios)
+    for scenario, outcome in zip(scenarios, sweep.outcomes):
+        reference = solve_opf_scalar(scenario.apply(case))
+        assert outcome.scenario_id == scenario.scenario_id
+        assert outcome.success == reference.success
+        if reference.success:
+            assert outcome.iterations == reference.iterations
+            assert outcome.objective == pytest.approx(reference.objective, rel=1e-8)
 
 
 def test_fleet_batch_mode_fallback_recovers_failures():
@@ -271,7 +278,6 @@ def test_fleet_batch_mode_fallback_recovers_failures():
         case,
         scenarios,
         warm_starts=warms,
-        execution="batch",
         fallback=get_fallback_policy("cold_restart"),
     )
     poisoned_outcome = sweep.outcomes[1]

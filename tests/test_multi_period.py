@@ -83,7 +83,7 @@ def test_warm_chaining_beats_per_step_cold():
     """The Fig. 4 gap, time-unrolled: cold step 0, cheap warm tail."""
     case = case9()
     steps = trajectory_steps(case, sample_load_trajectory(case, n_steps=6, seed=2))
-    with SolverFleet(case, execution="batch", collect_solutions=True) as fleet:
+    with SolverFleet(case, collect_solutions=True) as fleet:
         chained = MultiPeriodSweep(fleet, warm_chain=True).run(steps)
         cold = MultiPeriodSweep(fleet, warm_chain=False).run(steps)
     assert chained.success_rate == 1.0 and cold.success_rate == 1.0
@@ -109,7 +109,7 @@ def test_trajectory_chains_through_topology_changes():
     steps[2].scenarios[0] = Scenario(
         0, samples[2].Pd, samples[2].Qd, outage_branches=safe
     )
-    with SolverFleet(case, execution="batch", collect_solutions=True) as fleet:
+    with SolverFleet(case, collect_solutions=True) as fleet:
         result = MultiPeriodSweep(fleet).run(steps)
     assert result.success_rate == 1.0
     iters = result.iterations_by_step()
@@ -128,7 +128,7 @@ def test_trajectory_bitwise_invariant_under_lockstep_window():
     results = []
     for microbatch in (None, 1):
         with SolverFleet(
-            case, execution="batch", schedule="steal", microbatch=microbatch,
+            case, microbatch=microbatch,
             collect_solutions=True,
         ) as fleet:
             results.append(MultiPeriodSweep(fleet).run(steps))
@@ -163,7 +163,7 @@ def test_multi_period_sweep_rejects_bad_inputs():
 def test_engine_serve_trajectory(trained_trainer9):
     from repro.engine import WarmStartEngine
 
-    with WarmStartEngine.from_trainer(trained_trainer9, execution="batch") as engine:
+    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
         case = engine.case
         steps = trajectory_steps(case, sample_load_trajectory(case, n_steps=4, seed=5))
         result = engine.serve_trajectory(steps)

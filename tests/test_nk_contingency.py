@@ -36,7 +36,6 @@ from repro.parallel import (
     topology_key,
 )
 from repro.parallel.pool import _topology_groups
-from repro.parallel.scheduler import predicted_cost
 
 
 def chain_case():
@@ -173,15 +172,6 @@ def test_outage_branch_compatibility_view():
     assert Scenario(0, Pd, Qd, outage_branches=(3, 3)).outage_branch == 3
 
 
-def test_predicted_cost_scales_with_outage_order():
-    Pd, Qd = np.zeros(3), np.zeros(3)
-    base = predicted_cost(Scenario(0, Pd, Qd), None)
-    n1 = predicted_cost(Scenario(0, Pd, Qd, outage_branch=1), None)
-    n2 = predicted_cost(Scenario(0, Pd, Qd, outage_branches=(1, 2)), None)
-    assert base < n1 < n2
-    assert n2 / n1 == pytest.approx(n1 / base)
-
-
 # ----------------------------------------------------------------- grouping
 def test_pool_and_scheduler_grouping_agree():
     """`topology_key` is the single source of truth for group membership."""
@@ -214,7 +204,7 @@ def test_grouped_n2_solves_match_per_scenario_bitwise(kkt_solver):
     assert len({topology_key(s) for s in cs}) == 2  # pairs genuinely recur
 
     with SolverFleet(
-        case, options=options, execution="batch", schedule="steal",
+        case, options=options,
         collect_solutions=True,
     ) as fleet:
         grouped = fleet.solve(cs)
@@ -243,7 +233,7 @@ def test_n2_sweep_invariant_under_scheduling_knobs():
     results = []
     for microbatch in (None, 1, 2):
         with SolverFleet(
-            case, execution="batch", schedule="steal", microbatch=microbatch,
+            case, microbatch=microbatch,
             collect_solutions=True,
         ) as fleet:
             results.append(fleet.solve(cs))

@@ -37,12 +37,12 @@ def test_generate_scenarios_with_contingencies(case9_fixture):
 
 
 def test_scenario_chunking_covers_everything(case9_fixture):
-    from repro.parallel import balanced_assignment
+    from repro.parallel import make_microbatches
 
     scenarios = generate_scenarios(case9_fixture, 11, seed=2)
-    chunks = balanced_assignment(list(scenarios), [None] * 11, 3)
+    chunks = [mb.positions for mb in make_microbatches(list(scenarios), n_workers=3)]
     assert sorted(i for chunk in chunks for i in chunk) == list(range(11))
-    # Equal predicted costs degrade to a near-equal count split.
+    # One topology: the auto size (11 / (3 workers * 4)) gives single-row batches.
     assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
     features = scenarios.feature_matrix(case9_fixture.base_mva)
     assert features.shape == (11, 18)

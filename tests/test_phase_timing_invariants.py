@@ -25,7 +25,8 @@ from repro.engine.fallback import get_fallback_policy
 from repro.grid import get_case
 from repro.mips import MIPSOptions, mips_batch, qps_mips
 from repro.opf import OPFModel, WarmStart, solve_opf
-from repro.parallel import generate_scenarios, run_scenario_sweep
+from repro.parallel import SolverFleet, generate_scenarios, run_scenario_sweep
+from scalar_reference import solve_opf_scalar
 
 PHASES = ("eval", "assembly", "factorization", "backsolve")
 #: Wall-clock comparisons tolerate float accumulation noise, nothing more.
@@ -68,7 +69,7 @@ def test_scalar_qp_phase_invariants(seed, nx):
 
 
 def test_scalar_opf_phase_invariants(case9_fixture, opf_model9):
-    result = solve_opf(case9_fixture, model=opf_model9)
+    result = solve_opf_scalar(case9_fixture, model=opf_model9)
     assert result.success
     for value in result.phase_seconds.values():
         assert np.isfinite(value) and value >= 0.0
@@ -158,16 +159,13 @@ def test_opf_batch_phase_invariants_survive_block_solve(backend):
 
 
 # --------------------------------------------------------------- sweep / engine
-@pytest.mark.parametrize("execution", ["scenario", "batch"])
+@pytest.mark.parametrize("execution", ["batch"])
 def test_sweep_outcome_timing_invariants(case9_fixture, execution):
     scenarios = generate_scenarios(case9_fixture, 6, variation=0.05, seed=9)
-    sweep = run_scenario_sweep(
-        case9_fixture,
-        scenarios,
-        execution=execution,
-        fallback=get_fallback_policy("cold_restart"),
-    )
-    assert sweep.execution == execution
+    with SolverFleet(
+        case9_fixture, execution=execution, fallback=get_fallback_policy("cold_restart")
+    ) as fleet:
+        sweep = fleet.solve(scenarios)
     assert sweep.wall_seconds > 0.0
     total_share = 0.0
     for outcome in sweep.outcomes:
@@ -178,26 +176,24 @@ def test_sweep_outcome_timing_invariants(case9_fixture, execution):
         # One scenario's phases are sub-intervals of the sweep's wall.
         assert sum(outcome.phase_seconds.values()) <= sweep.wall_seconds + EPS
         total_share += outcome.solve_seconds
-    if execution == "batch":
-        # The additive share semantics: per-scenario solve costs sum to (at
-        # most) the sweep wall, instead of overlapping lockstep wall times.
-        assert total_share <= sweep.wall_seconds * (1.0 + 1e-6) + EPS
+    # The additive share semantics: per-scenario solve costs sum to (at
+    # most) the sweep wall, instead of overlapping lockstep wall times.
+    assert total_share <= sweep.wall_seconds * (1.0 + 1e-6) + EPS
 
 
 def test_online_record_phase_invariants(trained_trainer9, case9_fixture, dataset9):
     from repro.engine.engine import WarmStartEngine
 
-    for execution in ("scenario", "batch"):
-        with WarmStartEngine.from_trainer(trained_trainer9, execution=execution) as engine:
-            evaluation = engine.evaluate(dataset9, max_problems=6)
-            assert evaluation.n_problems == 6
-            for record in evaluation.records:
-                for value in record.solver_phase_seconds.values():
-                    assert np.isfinite(value) and value >= 0.0
-                assert record.inference_seconds >= 0.0
-                assert record.warm_solve_seconds >= 0.0
-                assert record.fallback_solve_seconds >= 0.0
-                assert record.online_seconds >= record.warm_solve_seconds
+    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
+        evaluation = engine.evaluate(dataset9, max_problems=6)
+        assert evaluation.n_problems == 6
+        for record in evaluation.records:
+            for value in record.solver_phase_seconds.values():
+                assert np.isfinite(value) and value >= 0.0
+            assert record.inference_seconds >= 0.0
+            assert record.warm_solve_seconds >= 0.0
+            assert record.fallback_solve_seconds >= 0.0
+            assert record.online_seconds >= record.warm_solve_seconds
 
 
 def test_batch_failed_scenario_keeps_phase_timings():
@@ -209,7 +205,7 @@ def test_batch_failed_scenario_keeps_phase_timings():
     poisoned = WarmStart(x=good.x * 200.0, lam=good.lam, mu=good.mu, z=good.z)
     scenarios = generate_scenarios(case, 3, variation=0.04, seed=2)
     sweep = run_scenario_sweep(
-        case, scenarios, warm_starts=[good, poisoned, good], execution="batch"
+        case, scenarios, warm_starts=[good, poisoned, good]
     )
     failed = sweep.outcomes[1]
     assert not failed.success
